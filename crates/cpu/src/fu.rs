@@ -71,6 +71,12 @@ impl FuPool {
         let class = Self::class_index(op.fu_class());
         self.units[class].iter().filter(|free| **free <= now).count()
     }
+
+    /// The earliest cycle after `now` at which a unit busy at `now`
+    /// becomes free, over every class; `None` when no unit is busy.
+    pub fn next_free_after(&self, now: Cycle) -> Option<Cycle> {
+        self.units.iter().flatten().copied().filter(|&free| free > now).min()
+    }
 }
 
 #[cfg(test)]
@@ -122,6 +128,20 @@ mod tests {
         let mut pool = FuPool::new([1, 1, 1, 1, 1]);
         assert!(pool.try_issue(Op::Branch, Cycle::ZERO).is_some());
         assert!(pool.try_issue(Op::IntAlu, Cycle::ZERO).is_none());
+    }
+
+    #[test]
+    fn next_free_after_reports_the_earliest_busy_unit() {
+        let mut pool = FuPool::new([1, 1, 1, 2, 1]);
+        assert_eq!(pool.next_free_after(Cycle::ZERO), None);
+        pool.try_issue(Op::IntDiv, Cycle::ZERO);
+        pool.try_issue(Op::FpDiv, Cycle::new(3));
+        pool.try_issue(Op::IntAlu, Cycle::new(5));
+        assert_eq!(pool.next_free_after(Cycle::new(5)), Some(Cycle::new(6)));
+        assert_eq!(pool.next_free_after(Cycle::new(6)), Some(Cycle::new(12)));
+        // A unit freeing exactly at `now` is already free.
+        assert_eq!(pool.next_free_after(Cycle::new(12)), Some(Cycle::new(15)));
+        assert_eq!(pool.next_free_after(Cycle::new(15)), None);
     }
 
     #[test]

@@ -11,6 +11,30 @@
 //! front end until the branch resolves (minimum 8-cycle penalty), rather
 //! than executing a wrong path — see DESIGN.md §4 for why this
 //! substitution is sound for the paper's experiments.
+//!
+//! # Event-driven scheduling
+//!
+//! The model is cycle-accurate but does not pay for cycles in which
+//! nothing can happen (DESIGN.md §19 gives the exactness argument):
+//!
+//! * **Skip-ahead.** Every stage reports whether it changed any state.
+//!   After a cycle in which none did, the machine state is frozen until
+//!   a time threshold passes — an executing instruction finishes, a
+//!   busy functional unit frees, a redirect or an instruction fetch
+//!   completes, or the deadlock watchdog fires. The cycles before the
+//!   earliest such threshold run only [`MemSystem::tick`] and
+//!   [`MemSystem::sample`], so the memory system still sees every cycle
+//!   exactly once and in order.
+//! * **Writeback** keeps the in-flight instructions with the earliest
+//!   finish cycle; before that cycle it does no work at all.
+//! * **Issue** walks a list of operand-ready entries sorted by sequence
+//!   number instead of the whole ROB. Each entry counts its unresolved
+//!   producers, and each producer lists its consumers, which writeback
+//!   wakes when the producer completes. The candidate order is the ROB
+//!   order of the plain scan, so the issue decisions are identical.
+//!
+//! The consumer lists are threaded through the ROB entries themselves,
+//! so the pipeline allocates nothing after construction.
 
 use crate::bpred::{BpredStats, BranchPredictor};
 use crate::config::{CpuConfig, Disambiguation};
@@ -21,8 +45,15 @@ use psb_common::stats::RunningMean;
 use psb_common::Cycle;
 use std::collections::VecDeque;
 
+/// Cycles without a commit after which [`Pipeline::run`] declares a
+/// deadlock.
+const DEADLOCK_CYCLES: u64 = 1_000_000;
+
+/// A cycle later than any event.
+const NEVER: Cycle = Cycle::new(u64::MAX);
+
 /// Results of one pipeline run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CpuStats {
     /// Simulated cycles.
     pub cycles: u64,
@@ -78,16 +109,29 @@ enum EntryState {
     Dispatched,
     /// Executing; result available at `finish`.
     Executing { finish: Cycle },
-    /// Complete; result was available at `finish`.
+    /// Complete; result was available at `finish` (never after now).
     Done { finish: Cycle },
+}
+
+/// A source operand waiting for its producer's result: operand
+/// `operand` (0 or 1) of the entry with sequence number `seq`.
+#[derive(Copy, Clone, Debug)]
+struct Waiter {
+    seq: u64,
+    operand: usize,
 }
 
 #[derive(Clone, Debug)]
 struct RobEntry {
     inst: DynInst,
     state: EntryState,
-    /// Producer sequence numbers for the register sources.
-    deps: [Option<u64>; 2],
+    /// Source operands whose producer has not completed yet.
+    pending: u8,
+    /// The last operand to start waiting on this entry's result; the
+    /// list continues through each waiter's `next_waiter`.
+    waiters: Option<Waiter>,
+    /// Per source operand, the next operand waiting on the same producer.
+    next_waiter: [Option<Waiter>; 2],
     mispredicted: bool,
     issued_at: Cycle,
     forwarded: bool,
@@ -125,8 +169,15 @@ pub struct Pipeline {
     bpred: BranchPredictor,
     fu: FuPool,
     rob: VecDeque<RobEntry>,
+    /// Sequence number of the ROB head.
     head_seq: u64,
     next_seq: u64,
+    /// Dispatched entries with every operand available, in sequence order.
+    ready: Vec<u64>,
+    /// Issued entries not yet written back, as `(finish, seq)`.
+    in_flight: Vec<(Cycle, u64)>,
+    /// Earliest finish in `in_flight` ([`NEVER`] when empty).
+    next_finish: Cycle,
     fetch_queue: VecDeque<(DynInst, bool)>,
     lsq_count: usize,
     last_writer: [Option<u64>; Reg::COUNT],
@@ -151,6 +202,9 @@ impl Pipeline {
             rob: VecDeque::with_capacity(config.rob_size),
             head_seq: 0,
             next_seq: 0,
+            ready: Vec::with_capacity(config.rob_size),
+            in_flight: Vec::with_capacity(config.rob_size),
+            next_finish: NEVER,
             fetch_queue: VecDeque::with_capacity(config.fetch_queue_size),
             lsq_count: 0,
             last_writer: [None; Reg::COUNT],
@@ -183,16 +237,17 @@ impl Pipeline {
         let mut last_commit_cycle = Cycle::ZERO;
 
         loop {
-            let committed_before = self.stats.committed;
-            self.commit(mem);
-            self.writeback();
-            self.issue(mem);
-            self.dispatch();
-            self.fetch(&mut trace, mem);
+            let committed = self.commit(mem);
+            // Every stage runs: `|` does not short-circuit.
+            let active = committed
+                | self.writeback()
+                | self.issue(mem)
+                | self.dispatch()
+                | self.fetch(&mut trace, mem);
             mem.tick(self.now);
             mem.sample(self.now, self.stats.committed);
 
-            if self.stats.committed > committed_before {
+            if committed {
                 last_commit_cycle = self.now;
             }
 
@@ -202,13 +257,27 @@ impl Pipeline {
             }
 
             assert!(
-                self.now.since(last_commit_cycle) < 1_000_000,
+                self.now.since(last_commit_cycle) < DEADLOCK_CYCLES,
                 "pipeline deadlock at {:?}: rob={}, fq={}, head={:?}",
                 self.now,
                 self.rob.len(),
                 self.fetch_queue.len(),
                 self.rob.front().map(|e| (e.inst, e.state)),
             );
+
+            if !active {
+                // Nothing changed, so every stage repeats this cycle's
+                // inaction until the next time-driven event; the cycles
+                // before it run only the memory system's hooks. The
+                // watchdog cycle is an event, so a deadlock still panics
+                // at the same cycle.
+                let event = self.next_event().min(last_commit_cycle + DEADLOCK_CYCLES);
+                while self.now + 1 < event {
+                    self.now += 1;
+                    mem.tick(self.now);
+                    mem.sample(self.now, self.stats.committed);
+                }
+            }
             self.now += 1;
         }
 
@@ -217,21 +286,20 @@ impl Pipeline {
         self.stats
     }
 
-    fn entry(&self, seq: u64) -> Option<&RobEntry> {
-        seq.checked_sub(self.head_seq).and_then(|i| self.rob.get(i as usize))
+    /// The earliest cycle after now at which a stage could act on
+    /// unchanged state ([`NEVER`] if none).
+    fn next_event(&self) -> Cycle {
+        let fetch_unblocks = (self.ifetch_ready > self.now).then_some(self.ifetch_ready);
+        [Some(self.next_finish), self.fu.next_free_after(self.now), self.resume_at, fetch_unblocks]
+            .into_iter()
+            .flatten()
+            .min()
+            .unwrap_or(NEVER)
     }
 
-    /// True if the value produced by `seq` is available at `now`.
-    /// Committed producers are always ready.
-    fn value_ready(&self, seq: u64) -> bool {
-        match self.entry(seq) {
-            None => true,
-            Some(e) => matches!(e.state, EntryState::Done { finish } if finish <= self.now),
-        }
-    }
-
-    fn deps_ready(&self, idx: usize) -> bool {
-        self.rob[idx].deps.iter().flatten().all(|&seq| self.value_ready(seq))
+    /// ROB index of the in-window entry with sequence number `seq`.
+    fn index(&self, seq: u64) -> usize {
+        (seq - self.head_seq) as usize
     }
 
     /// Decides whether the load at ROB index `idx` may issue, and how.
@@ -248,10 +316,10 @@ impl Pipeline {
         match self.config.disambiguation {
             Disambiguation::Perfect => {
                 // Youngest older store to the same memory, if any.
-                for e in self.rob.iter().take(idx).rev() {
+                for e in self.rob.range(..idx).rev() {
                     if e.inst.op.is_store() && overlap(e) {
                         return match e.state {
-                            EntryState::Done { finish } if finish <= self.now => LoadGate::Forward,
+                            EntryState::Done { .. } => LoadGate::Forward,
                             _ => LoadGate::Wait,
                         };
                     }
@@ -260,7 +328,7 @@ impl Pipeline {
             }
             Disambiguation::WaitForStores => {
                 let mut forward_candidate = None;
-                for e in self.rob.iter().take(idx) {
+                for e in self.rob.range(..idx) {
                     if !e.inst.op.is_store() {
                         continue;
                     }
@@ -272,7 +340,7 @@ impl Pipeline {
                     }
                 }
                 match forward_candidate {
-                    Some(EntryState::Done { finish }) if finish <= self.now => LoadGate::Forward,
+                    Some(EntryState::Done { .. }) => LoadGate::Forward,
                     Some(_) => LoadGate::Wait,
                     None => LoadGate::Cache,
                 }
@@ -280,16 +348,15 @@ impl Pipeline {
         }
     }
 
-    fn commit<M: MemSystem>(&mut self, mem: &mut M) {
+    /// Retires up to `commit_width` completed entries from the ROB head.
+    /// Returns whether any retired.
+    fn commit<M: MemSystem>(&mut self, mem: &mut M) -> bool {
         let mut committed = 0;
         while committed < self.config.commit_width {
             let Some(head) = self.rob.front() else { break };
             let EntryState::Done { finish } = head.state else {
                 break;
             };
-            if finish > self.now {
-                break;
-            }
             let e = self.rob.pop_front().expect("invariant: the loop guard saw a front element");
             self.head_seq += 1;
             committed += 1;
@@ -313,42 +380,73 @@ impl Pipeline {
                 _ => {}
             }
         }
+        committed != 0
     }
 
-    fn writeback(&mut self) {
+    /// Completes every in-flight entry whose result is available now and
+    /// wakes its consumers. Returns whether any entry completed.
+    fn writeback(&mut self) -> bool {
         let now = self.now;
-        let mut resolved_mispredict = None;
-        for e in &mut self.rob {
-            if let EntryState::Executing { finish } = e.state {
-                if finish <= now {
-                    e.state = EntryState::Done { finish };
-                    if e.mispredicted {
-                        resolved_mispredict = Some(finish);
-                    }
-                }
-            }
+        if now < self.next_finish {
+            return false;
         }
+        let mut next_finish = NEVER;
+        let mut resolved_mispredict = None;
+        let mut i = 0;
+        while i < self.in_flight.len() {
+            let (finish, seq) = self.in_flight[i];
+            if finish > now {
+                next_finish = next_finish.min(finish);
+                i += 1;
+                continue;
+            }
+            self.in_flight.swap_remove(i);
+            let idx = self.index(seq);
+            self.rob[idx].state = EntryState::Done { finish };
+            if self.rob[idx].mispredicted {
+                resolved_mispredict = Some(finish);
+            }
+            self.wake_waiters(idx);
+        }
+        self.next_finish = next_finish;
         if let Some(finish) = resolved_mispredict {
             debug_assert!(self.fetch_halted);
             let earliest = self.halt_cycle + self.config.min_mispredict_penalty;
             let redirect = finish.max(now) + self.config.redirect_latency;
             self.resume_at = Some(earliest.max(redirect));
         }
+        true
     }
 
-    fn issue<M: MemSystem>(&mut self, mem: &mut M) {
-        let mut issued = 0;
-        let mut idx = 0;
-        while idx < self.rob.len() && issued < self.config.issue_width {
-            if self.rob[idx].state != EntryState::Dispatched || !self.deps_ready(idx) {
-                idx += 1;
-                continue;
+    /// Resolves every operand waiting on the entry at ROB index `idx`,
+    /// moving the entries left with none pending onto the ready list.
+    fn wake_waiters(&mut self, idx: usize) {
+        let mut next = self.rob[idx].waiters.take();
+        while let Some(Waiter { seq, operand }) = next {
+            let i = self.index(seq);
+            let e = &mut self.rob[i];
+            next = e.next_waiter[operand];
+            e.pending -= 1;
+            if e.pending == 0 {
+                let (Ok(at) | Err(at)) = self.ready.binary_search(&seq);
+                self.ready.insert(at, seq);
             }
+        }
+    }
+
+    /// Issues up to `issue_width` ready entries, oldest first. Returns
+    /// whether any issued.
+    fn issue<M: MemSystem>(&mut self, mem: &mut M) -> bool {
+        let mut issued = 0;
+        let mut i = 0;
+        while i < self.ready.len() && issued < self.config.issue_width {
+            let seq = self.ready[i];
+            let idx = self.index(seq);
             let inst = self.rob[idx].inst;
             let finish = match inst.op {
                 Op::Load => match self.load_gate(idx) {
                     LoadGate::Wait => {
-                        idx += 1;
+                        i += 1;
                         continue;
                     }
                     LoadGate::Forward => match self.fu.try_issue(Op::Load, self.now) {
@@ -357,7 +455,7 @@ impl Pipeline {
                             self.now + self.config.store_forward_latency
                         }
                         None => {
-                            idx += 1;
+                            i += 1;
                             continue;
                         }
                     },
@@ -368,7 +466,7 @@ impl Pipeline {
                             mem.load(self.now, inst.pc, addr)
                         }
                         None => {
-                            idx += 1;
+                            i += 1;
                             continue;
                         }
                     },
@@ -376,19 +474,24 @@ impl Pipeline {
                 op => match self.fu.try_issue(op, self.now) {
                     Some(finish) => finish,
                     None => {
-                        idx += 1;
+                        i += 1;
                         continue;
                     }
                 },
             };
+            self.ready.remove(i);
             self.rob[idx].state = EntryState::Executing { finish };
             self.rob[idx].issued_at = self.now;
+            self.in_flight.push((finish, seq));
+            self.next_finish = self.next_finish.min(finish);
             issued += 1;
-            idx += 1;
         }
+        issued != 0
     }
 
-    fn dispatch(&mut self) {
+    /// Moves up to `dispatch_width` instructions from the fetch queue
+    /// into the ROB. Returns whether any moved.
+    fn dispatch(&mut self) -> bool {
         let mut dispatched = 0;
         while dispatched < self.config.dispatch_width {
             let Some(&(inst, _)) = self.fetch_queue.front() else {
@@ -406,8 +509,21 @@ impl Pipeline {
                 .expect("invariant: the loop guard saw a front element");
             let seq = self.next_seq;
             self.next_seq += 1;
-            let dep_of = |r: Option<Reg>| r.and_then(|r| self.last_writer[r.index()]);
-            let deps = [dep_of(inst.src1), dep_of(inst.src2)];
+            let mut pending = 0;
+            let mut next_waiter = [None; 2];
+            for (operand, src) in [inst.src1, inst.src2].into_iter().enumerate() {
+                let Some(producer) = src.and_then(|r| self.last_writer[r.index()]) else {
+                    continue;
+                };
+                // A producer that left the window has committed, so its
+                // value is available.
+                let Some(p) = producer.checked_sub(self.head_seq) else { continue };
+                let p = &mut self.rob[p as usize];
+                if !matches!(p.state, EntryState::Done { .. }) {
+                    next_waiter[operand] = p.waiters.replace(Waiter { seq, operand });
+                    pending += 1;
+                }
+            }
             if let Some(dst) = inst.dst {
                 self.last_writer[dst.index()] = Some(seq);
             }
@@ -417,32 +533,43 @@ impl Pipeline {
             self.rob.push_back(RobEntry {
                 inst,
                 state: EntryState::Dispatched,
-                deps,
+                pending,
+                waiters: None,
+                next_waiter,
                 mispredicted,
                 issued_at: Cycle::ZERO,
                 forwarded: false,
             });
+            if pending == 0 {
+                self.ready.push(seq);
+            }
             dispatched += 1;
         }
+        dispatched != 0
     }
 
-    fn fetch<I, M>(&mut self, trace: &mut std::iter::Peekable<I>, mem: &mut M)
+    /// Fetches up to `fetch_width` instructions into the fetch queue.
+    /// Returns whether fetch changed any state or called the memory
+    /// system.
+    fn fetch<I, M>(&mut self, trace: &mut std::iter::Peekable<I>, mem: &mut M) -> bool
     where
         I: Iterator<Item = DynInst>,
         M: MemSystem,
     {
+        let mut active = false;
         if self.fetch_halted {
             match self.resume_at {
                 Some(at) if self.now >= at => {
                     self.fetch_halted = false;
                     self.resume_at = None;
                     self.last_fetch_block = None;
+                    active = true;
                 }
-                _ => return,
+                _ => return false,
             }
         }
         if self.now < self.ifetch_ready {
-            return;
+            return active;
         }
 
         let mut fetched = 0;
@@ -451,6 +578,7 @@ impl Pipeline {
             && self.fetch_queue.len() < self.config.fetch_queue_size
         {
             let Some(peeked) = trace.peek() else {
+                active |= !self.trace_done;
                 self.trace_done = true;
                 break;
             };
@@ -460,6 +588,7 @@ impl Pipeline {
             // New I-cache block: model the instruction fetch.
             let block = peeked.pc.raw() / self.config.icache_block;
             if self.last_fetch_block != Some(block) {
+                active = true;
                 let ready = mem.ifetch(self.now, peeked.pc);
                 if ready > self.now {
                     self.ifetch_ready = ready;
@@ -494,6 +623,7 @@ impl Pipeline {
                 break;
             }
         }
+        active | (fetched != 0)
     }
 }
 
@@ -721,6 +851,14 @@ mod tests {
     }
 
     #[test]
+    fn ratios_are_zero_only_without_a_denominator() {
+        let none = CpuStats::default();
+        assert_eq!((none.ipc(), none.load_fraction(), none.store_fraction()), (0.0, 0.0, 0.0));
+        let one = CpuStats { cycles: 1, committed: 1, loads: 1, stores: 1, ..CpuStats::default() };
+        assert_eq!((one.ipc(), one.load_fraction(), one.store_fraction()), (1.0, 1.0, 1.0));
+    }
+
+    #[test]
     fn max_commits_stops_early() {
         let stats = run_trace_limited(alu_run(0x1000, 1000), 100);
         assert!(stats.committed >= 100 && stats.committed < 1000);
@@ -729,6 +867,16 @@ mod tests {
     fn run_trace_limited(trace: Vec<DynInst>, max: u64) -> CpuStats {
         let mut mem = FixedLatencyMemory::new(1);
         Pipeline::new(CpuConfig::baseline()).run(trace, &mut mem, max)
+    }
+
+    #[test]
+    #[should_panic(expected = "pipeline deadlock at Cycle(1000000)")]
+    fn watchdog_fires_at_the_same_cycle_despite_skip_ahead() {
+        // The load never completes within the watchdog window; the idle
+        // skip must stop at the watchdog cycle rather than jump past it.
+        let trace =
+            vec![DynInst::load(Addr::new(0x1000), Reg::new(1), None, Addr::new(0x10_0000), 8)];
+        run_trace(trace, 5_000_000);
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub fn trace(scale: u32) -> Vec<DynInst> {
     let root_cell = heap.alloc(16);
 
     let target = 300_000usize * scale as usize;
-    let mut b = TraceBuilder::new(MAIN);
+    let mut b = TraceBuilder::with_capacity(MAIN, target + target / 2);
     // Table indices must repeat across walks for cache behaviour to be
     // stable: reseed the per-walk RNG identically each lap.
     loop {

@@ -40,7 +40,7 @@ pub fn trace(scale: u32) -> Vec<DynInst> {
     let mut free_list: Vec<Addr> = heap.alloc_shuffled(CHAIN_LEN, NODE_BYTES);
 
     let target = 300_000usize * scale as usize;
-    let mut b = TraceBuilder::new(PLAN);
+    let mut b = TraceBuilder::with_capacity(PLAN, target + target / 2);
     let mut pass = 0usize;
 
     loop {

@@ -39,7 +39,7 @@ pub fn trace(scale: u32) -> Vec<DynInst> {
     let glyphs = heap.alloc(GLYPH_BYTES);
 
     let target = 300_000usize * scale as usize;
-    let mut b = TraceBuilder::new(BAND);
+    let mut b = TraceBuilder::with_capacity(BAND, target + target / 2);
 
     loop {
         b.expect_pc(BAND);

@@ -74,7 +74,7 @@ pub fn trace(scale: u32) -> Vec<DynInst> {
     }
 
     let target = 300_000usize * scale as usize;
-    let mut b = TraceBuilder::new(DAY);
+    let mut b = TraceBuilder::with_capacity(DAY, target + target / 2);
     let mut pending_transfers: Vec<(usize, usize)> = Vec::new();
 
     'days: loop {

@@ -53,7 +53,7 @@ pub fn trace(scale: u32) -> Vec<DynInst> {
     let chain = heap.alloc_shuffled(CHAIN_NODES, 64);
 
     let target = 300_000usize * scale as usize;
-    let mut b = TraceBuilder::new(SWEEP);
+    let mut b = TraceBuilder::with_capacity(SWEEP, target + target / 2);
     let mut chain_pos = 0usize;
     // Each site's walking position, step counter, and jump RNG.
     let mut site_pos = vec![0u64; JUNK_SITES as usize];

@@ -37,7 +37,16 @@ pub struct TraceBuilder {
 impl TraceBuilder {
     /// Starts a trace whose first instruction is at `entry`.
     pub fn new(entry: Addr) -> Self {
-        TraceBuilder { insts: Vec::new(), pc: entry, call_stack: Vec::new() }
+        TraceBuilder::with_capacity(entry, 0)
+    }
+
+    /// Like [`TraceBuilder::new`], with room for `capacity` instructions.
+    /// A generator that knows its trace length reserves it up front: the
+    /// trace is then built in one allocation, and how long generation
+    /// takes no longer depends on whether the allocator can grow it in
+    /// place.
+    pub fn with_capacity(entry: Addr, capacity: usize) -> Self {
+        TraceBuilder { insts: Vec::with_capacity(capacity), pc: entry, call_stack: Vec::new() }
     }
 
     /// Number of instructions emitted so far.

@@ -74,7 +74,7 @@ pub fn trace(scale: u32) -> Vec<DynInst> {
     let loops = [XLOOP, YLOOP, ZLOOP];
 
     let target = 300_000usize * scale as usize;
-    let mut b = TraceBuilder::new(TURB);
+    let mut b = TraceBuilder::with_capacity(TURB, target + target / 2);
 
     'steps: loop {
         b.expect_pc(TURB);
