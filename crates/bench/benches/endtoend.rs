@@ -2,7 +2,7 @@
 //! under each prefetcher configuration, plus the pipeline alone.
 
 use psb_bench::micro::{bench, bench_run, group};
-use psb_cpu::{CpuConfig, FixedLatencyMemory, Pipeline};
+use psb_cpu::{CpuConfig, Disambiguation, FixedLatencyMemory, Pipeline};
 use psb_sim::{MachineConfig, PrefetcherKind, Simulation};
 use psb_workloads::Benchmark;
 use std::hint::black_box;
@@ -32,6 +32,20 @@ fn main() {
     bench("pipeline_health_window", || {
         let mut mem = FixedLatencyMemory::new(20);
         let stats = Pipeline::new(CpuConfig::baseline()).run(
+            black_box(&health[..window]).iter().copied(),
+            &mut mem,
+            u64::MAX,
+        );
+        black_box(stats.cycles);
+    });
+    // Health forwards the most loads of the six benchmarks (23,426 in
+    // `results/shootout.json`); without disambiguation each load also
+    // waits for every older store, so the store queue and the parked-load
+    // wakeups carry the most work.
+    bench("pipeline_health_nodis_window", || {
+        let mut mem = FixedLatencyMemory::new(20);
+        let config = CpuConfig::baseline().with_disambiguation(Disambiguation::WaitForStores);
+        let stats = Pipeline::new(config).run(
             black_box(&health[..window]).iter().copied(),
             &mut mem,
             u64::MAX,

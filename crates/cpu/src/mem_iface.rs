@@ -28,20 +28,34 @@ pub trait MemSystem {
         let _ = (now, pc);
     }
 
-    /// Per-cycle housekeeping, called once per simulated cycle after the
-    /// pipeline stages. The full simulator uses this to run the prefetch
-    /// engines.
+    /// Housekeeping after the pipeline stages of cycle `now`. The full
+    /// simulator uses this to run the prefetch engines. The pipeline
+    /// calls it for every cycle in which a stage acted and for every
+    /// cycle [`MemSystem::next_event`] names, in cycle order, and may
+    /// skip the cycles in between: `next_event` must name every cycle
+    /// at which a call would do anything.
     fn tick(&mut self, now: Cycle) {
         let _ = now;
     }
 
-    /// Observability sampling point, called once per simulated cycle
-    /// right after [`MemSystem::tick`] with the committed-instruction
-    /// count (which only the pipeline knows). The full simulator uses
-    /// this to drive interval time series; the default no-op compiles
-    /// away under static dispatch.
+    /// Observability sampling point, called right after every
+    /// [`MemSystem::tick`] with the committed-instruction count (which
+    /// only the pipeline knows). The full simulator uses this to drive
+    /// interval time series; the default no-op compiles away under
+    /// static dispatch.
     fn sample(&mut self, now: Cycle, committed: u64) {
         let _ = (now, committed);
+    }
+
+    /// The earliest cycle after `now` at which [`MemSystem::tick`] or
+    /// [`MemSystem::sample`] could do anything, assuming no load, store
+    /// or fetch arrives first. While the pipeline is idle it calls the
+    /// two hooks only at the cycles this names, so every cycle in
+    /// between must be one at which both would be no-ops. The answer
+    /// must be later than `now`; the default, `now + 1`, makes every
+    /// cycle due.
+    fn next_event(&self, now: Cycle) -> Cycle {
+        now + 1
     }
 }
 

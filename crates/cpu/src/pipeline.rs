@@ -21,10 +21,10 @@
 //!   After a cycle in which none did, the machine state is frozen until
 //!   a time threshold passes — an executing instruction finishes, a
 //!   busy functional unit frees, a redirect or an instruction fetch
-//!   completes, or the deadlock watchdog fires. The cycles before the
-//!   earliest such threshold run only [`MemSystem::tick`] and
-//!   [`MemSystem::sample`], so the memory system still sees every cycle
-//!   exactly once and in order.
+//!   completes, or the deadlock watchdog fires. Before the earliest such
+//!   threshold only the memory system can act, so the pipeline calls
+//!   [`MemSystem::tick`] and [`MemSystem::sample`] only at the cycles
+//!   [`MemSystem::next_event`] names.
 //! * **Writeback** keeps the in-flight instructions with the earliest
 //!   finish cycle; before that cycle it does no work at all.
 //! * **Issue** walks a list of operand-ready entries sorted by sequence
@@ -32,9 +32,17 @@
 //!   producers, and each producer lists its consumers, which writeback
 //!   wakes when the producer completes. The candidate order is the ROB
 //!   order of the plain scan, so the issue decisions are identical.
+//! * **Load gating** scans a store queue (the in-window stores, oldest
+//!   first) instead of the older ROB entries. A load the gate holds back
+//!   leaves the ready list and is parked on the one store that blocks
+//!   it; that store's completion (or, when loads wait for every older
+//!   store, its issue) puts the load back. A parked load is not gated
+//!   again until its answer can have changed.
 //!
-//! The consumer lists are threaded through the ROB entries themselves,
-//! so the pipeline allocates nothing after construction.
+//! The consumer and parked-load lists are threaded through the ROB
+//! entries themselves, so the pipeline allocates nothing after
+//! construction. [`Pipeline::with_forced_steps`] turns every skip off,
+//! which is how the differential suites check that skipping is exact.
 
 use crate::bpred::{BpredStats, BranchPredictor};
 use crate::config::{CpuConfig, Disambiguation};
@@ -132,6 +140,11 @@ struct RobEntry {
     waiters: Option<Waiter>,
     /// Per source operand, the next operand waiting on the same producer.
     next_waiter: [Option<Waiter>; 2],
+    /// For a store: the last load parked on it; the list continues
+    /// through each load's `next_parked`.
+    parked: Option<u64>,
+    /// For a parked load: the next load parked on the same store.
+    next_parked: Option<u64>,
     mispredicted: bool,
     issued_at: Cycle,
     forwarded: bool,
@@ -139,8 +152,9 @@ struct RobEntry {
 
 /// What gates a load's issue this cycle.
 enum LoadGate {
-    /// An ordering constraint is unresolved; retry later.
-    Wait,
+    /// The store with this sequence number holds the load back; the
+    /// answer cannot change before that store issues or completes.
+    Wait(u64),
     /// Forward from an in-window store.
     Forward,
     /// Access the cache hierarchy.
@@ -178,6 +192,8 @@ pub struct Pipeline {
     in_flight: Vec<(Cycle, u64)>,
     /// Earliest finish in `in_flight` ([`NEVER`] when empty).
     next_finish: Cycle,
+    /// Sequence numbers of the in-window stores, oldest first.
+    stores: VecDeque<u64>,
     fetch_queue: VecDeque<(DynInst, bool)>,
     lsq_count: usize,
     last_writer: [Option<u64>; Reg::COUNT],
@@ -189,6 +205,8 @@ pub struct Pipeline {
     last_fetch_block: Option<u64>,
     trace_done: bool,
     now: Cycle,
+    /// Step every stage and call the memory system's hooks every cycle.
+    force_step: bool,
     stats: CpuStats,
 }
 
@@ -205,6 +223,7 @@ impl Pipeline {
             ready: Vec::with_capacity(config.rob_size),
             in_flight: Vec::with_capacity(config.rob_size),
             next_finish: NEVER,
+            stores: VecDeque::with_capacity(config.lsq_size),
             fetch_queue: VecDeque::with_capacity(config.fetch_queue_size),
             lsq_count: 0,
             last_writer: [None; Reg::COUNT],
@@ -215,8 +234,19 @@ impl Pipeline {
             last_fetch_block: None,
             trace_done: false,
             now: Cycle::ZERO,
+            force_step: false,
             stats: CpuStats::default(),
         }
+    }
+
+    /// Sets whether every cycle steps every stage and calls
+    /// [`MemSystem::tick`] and [`MemSystem::sample`], defeating the
+    /// idle-cycle skip and [`MemSystem::next_event`]. Skipping is an
+    /// optimization that must never change a result; forcing the steps
+    /// is how that is checked.
+    pub fn with_forced_steps(mut self, on: bool) -> Self {
+        self.force_step = on;
+        self
     }
 
     /// Runs the pipeline over `trace` against `mem` until the trace is
@@ -265,20 +295,23 @@ impl Pipeline {
                 self.rob.front().map(|e| (e.inst, e.state)),
             );
 
-            if !active {
+            if active || self.force_step {
+                self.now += 1;
+            } else {
                 // Nothing changed, so every stage repeats this cycle's
-                // inaction until the next time-driven event; the cycles
-                // before it run only the memory system's hooks. The
-                // watchdog cycle is an event, so a deadlock still panics
-                // at the same cycle.
+                // inaction until the next time-driven event. Before it
+                // only the memory system can act, at the cycles it names.
+                // The watchdog cycle is an event, so a deadlock still
+                // panics at the same cycle.
                 let event = self.next_event().min(last_commit_cycle + DEADLOCK_CYCLES);
-                while self.now + 1 < event {
-                    self.now += 1;
-                    mem.tick(self.now);
-                    mem.sample(self.now, self.stats.committed);
+                let mut due = mem.next_event(self.now);
+                while due < event {
+                    mem.tick(due);
+                    mem.sample(due, self.stats.committed);
+                    due = mem.next_event(due);
                 }
+                self.now = event;
             }
-            self.now += 1;
         }
 
         self.stats.cycles = self.now.raw() + 1;
@@ -302,25 +335,27 @@ impl Pipeline {
         (seq - self.head_seq) as usize
     }
 
-    /// Decides whether the load at ROB index `idx` may issue, and how.
-    fn load_gate(&self, idx: usize) -> LoadGate {
-        let load_addr =
-            self.rob[idx].inst.mem_addr.expect("invariant: mem ops always carry an address");
-        let load_size = self.rob[idx].inst.mem_size as u64;
+    /// Decides whether the load with sequence number `seq` may issue,
+    /// and how, from the stores older than it.
+    fn load_gate(&self, seq: u64) -> LoadGate {
+        let load = &self.rob[self.index(seq)].inst;
+        let load_addr = load.mem_addr.expect("invariant: mem ops always carry an address").raw();
+        let load_end = load_addr + u64::from(load.mem_size);
         let overlap = |e: &RobEntry| {
-            let sa = e.inst.mem_addr.expect("invariant: mem ops always carry an address");
-            let ss = e.inst.mem_size as u64;
-            sa.raw() < load_addr.raw() + load_size && load_addr.raw() < sa.raw() + ss
+            let sa = e.inst.mem_addr.expect("invariant: mem ops always carry an address").raw();
+            sa < load_end && load_addr < sa + u64::from(e.inst.mem_size)
         };
+        let older = self.stores.range(..self.stores.partition_point(|&s| s < seq));
 
         match self.config.disambiguation {
             Disambiguation::Perfect => {
                 // Youngest older store to the same memory, if any.
-                for e in self.rob.range(..idx).rev() {
-                    if e.inst.op.is_store() && overlap(e) {
+                for &s in older.rev() {
+                    let e = &self.rob[self.index(s)];
+                    if overlap(e) {
                         return match e.state {
                             EntryState::Done { .. } => LoadGate::Forward,
-                            _ => LoadGate::Wait,
+                            _ => LoadGate::Wait(s),
                         };
                     }
                 }
@@ -328,20 +363,18 @@ impl Pipeline {
             }
             Disambiguation::WaitForStores => {
                 let mut forward_candidate = None;
-                for e in self.rob.range(..idx) {
-                    if !e.inst.op.is_store() {
-                        continue;
-                    }
+                for &s in older {
+                    let e = &self.rob[self.index(s)];
                     if matches!(e.state, EntryState::Dispatched) {
-                        return LoadGate::Wait;
+                        return LoadGate::Wait(s);
                     }
                     if overlap(e) {
-                        forward_candidate = Some(e.state);
+                        forward_candidate = Some((s, e.state));
                     }
                 }
                 match forward_candidate {
-                    Some(EntryState::Done { .. }) => LoadGate::Forward,
-                    Some(_) => LoadGate::Wait,
+                    Some((_, EntryState::Done { .. })) => LoadGate::Forward,
+                    Some((s, _)) => LoadGate::Wait(s),
                     None => LoadGate::Cache,
                 }
             }
@@ -373,6 +406,8 @@ impl Pipeline {
                 Op::Store => {
                     self.stats.stores += 1;
                     self.lsq_count -= 1;
+                    let oldest = self.stores.pop_front();
+                    debug_assert_eq!(oldest, Some(self.head_seq - 1));
                     let addr = e.inst.mem_addr.expect("invariant: mem ops always carry an address");
                     mem.store(self.now, e.inst.pc, addr);
                 }
@@ -407,6 +442,7 @@ impl Pipeline {
                 resolved_mispredict = Some(finish);
             }
             self.wake_waiters(idx);
+            self.wake_parked(idx);
         }
         self.next_finish = next_finish;
         if let Some(finish) = resolved_mispredict {
@@ -428,9 +464,35 @@ impl Pipeline {
             next = e.next_waiter[operand];
             e.pending -= 1;
             if e.pending == 0 {
-                let (Ok(at) | Err(at)) = self.ready.binary_search(&seq);
-                self.ready.insert(at, seq);
+                self.make_ready(seq);
             }
+        }
+    }
+
+    /// Inserts `seq` into the ready list in sequence order.
+    fn make_ready(&mut self, seq: u64) {
+        let (Ok(at) | Err(at)) = self.ready.binary_search(&seq);
+        self.ready.insert(at, seq);
+    }
+
+    /// Takes the load at ready-list position `i` off the list and parks
+    /// it on the store with sequence number `store`.
+    fn park(&mut self, i: usize, store: u64) {
+        let load = self.ready.remove(i);
+        let s = self.index(store);
+        let next = self.rob[s].parked.replace(load);
+        let l = self.index(load);
+        self.rob[l].next_parked = next;
+    }
+
+    /// Returns every load parked on the entry at ROB index `idx` to the
+    /// ready list.
+    fn wake_parked(&mut self, idx: usize) {
+        let mut next = self.rob[idx].parked.take();
+        while let Some(seq) = next {
+            let i = self.index(seq);
+            next = self.rob[i].next_parked.take();
+            self.make_ready(seq);
         }
     }
 
@@ -444,9 +506,9 @@ impl Pipeline {
             let idx = self.index(seq);
             let inst = self.rob[idx].inst;
             let finish = match inst.op {
-                Op::Load => match self.load_gate(idx) {
-                    LoadGate::Wait => {
-                        i += 1;
+                Op::Load => match self.load_gate(seq) {
+                    LoadGate::Wait(store) => {
+                        self.park(i, store);
                         continue;
                     }
                     LoadGate::Forward => match self.fu.try_issue(Op::Load, self.now) {
@@ -485,6 +547,13 @@ impl Pipeline {
             self.in_flight.push((finish, seq));
             self.next_finish = self.next_finish.min(finish);
             issued += 1;
+            if self.config.disambiguation == Disambiguation::WaitForStores {
+                // Loads wait for every older store to issue, so the ones
+                // parked on this entry (only stores have any) may pass it
+                // now. They are younger, so they rejoin the list later in
+                // this walk.
+                self.wake_parked(idx);
+            }
         }
         issued != 0
     }
@@ -530,12 +599,17 @@ impl Pipeline {
             if inst.op.is_mem() {
                 self.lsq_count += 1;
             }
+            if inst.op.is_store() {
+                self.stores.push_back(seq);
+            }
             self.rob.push_back(RobEntry {
                 inst,
                 state: EntryState::Dispatched,
                 pending,
                 waiters: None,
                 next_waiter,
+                parked: None,
+                next_parked: None,
                 mispredicted,
                 issued_at: Cycle::ZERO,
                 forwarded: false,

@@ -10,7 +10,12 @@
 //! seen. The statistics and the full log of memory-system calls (with
 //! each call's cycle) must be equal, which also proves that `tick` and
 //! `sample` still run exactly once per cycle, in order, with nothing
-//! between them.
+//! between them, when the memory system keeps every cycle due.
+//!
+//! A second family of checks gives the memory system a sparse
+//! `next_event`: the hooks must then arrive at exactly the cycles it
+//! names plus the cycles in which the pipeline stepped, and a due tick
+//! that changes later answers must still be seen at its cycle.
 
 use psb_common::{Addr, Cycle, SplitMix64};
 use psb_cpu::{
@@ -30,23 +35,73 @@ enum Call {
 }
 
 /// A deterministic memory system whose latencies vary per call: each
-/// answer is a hash of the call's arguments and of how many calls came
-/// before it. Two pipelines that make the same calls therefore get the
-/// same answers, and the first differing call shows up in the log.
+/// answer is a hash of the call's arguments, of how many answers came
+/// before it and of the ticks that were due. Two pipelines that make the
+/// same calls therefore get the same answers, and the first differing
+/// call shows up in the log.
 struct LoggingMemory {
     calls: Vec<Call>,
     salt: u64,
+    answers: u64,
+    /// `next_event` names only the multiples of this period (`u64::MAX`:
+    /// none after cycle 0); `None` keeps the trait default, every cycle.
+    period: Option<u64>,
+    /// Whether a tick at a multiple of `period` changes later answers.
+    ticks_matter: bool,
+    phase: u64,
 }
 
 impl LoggingMemory {
     fn new(salt: u64) -> Self {
-        LoggingMemory { calls: Vec::new(), salt }
+        LoggingMemory {
+            calls: Vec::new(),
+            salt,
+            answers: 0,
+            period: None,
+            ticks_matter: false,
+            phase: 0,
+        }
     }
 
-    fn hash(&self, now: Cycle, addr: Addr) -> u64 {
-        let seed = self.salt ^ (self.calls.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    /// Due only at the multiples of `period`; with `ticks_matter`, each
+    /// due tick perturbs every later answer.
+    fn sparse(salt: u64, period: u64, ticks_matter: bool) -> Self {
+        LoggingMemory { period: Some(period), ticks_matter, ..LoggingMemory::new(salt) }
+    }
+
+    fn hash(&mut self, now: Cycle, addr: Addr) -> u64 {
+        self.answers += 1;
+        let seed = self.salt ^ self.phase ^ self.answers.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = SplitMix64::new(seed ^ now.raw().rotate_left(17) ^ addr.raw());
         rng.next_u64()
+    }
+
+    /// The calls other than `tick` and `sample`.
+    fn accesses(&self) -> Vec<&Call> {
+        self.calls
+            .iter()
+            .filter(|c| !matches!(c, Call::Tick { .. } | Call::Sample { .. }))
+            .collect()
+    }
+
+    /// The cycles of the `tick` calls, checking that each is followed
+    /// directly by a `sample` at the same cycle and that they increase.
+    fn hook_cycles(&self) -> Vec<u64> {
+        let hooks: Vec<&Call> = self
+            .calls
+            .iter()
+            .filter(|c| matches!(c, Call::Tick { .. } | Call::Sample { .. }))
+            .collect();
+        let mut cycles = Vec::with_capacity(hooks.len() / 2);
+        for pair in hooks.chunks(2) {
+            let [Call::Tick { now: t }, Call::Sample { now: s, .. }] = pair else {
+                panic!("unpaired hooks {pair:?}");
+            };
+            assert_eq!(t, s, "tick and sample at different cycles");
+            assert!(cycles.last().is_none_or(|&last| last < *t), "hooks out of order at {t}");
+            cycles.push(*t);
+        }
+        cycles
     }
 }
 
@@ -82,10 +137,22 @@ impl MemSystem for LoggingMemory {
 
     fn tick(&mut self, now: Cycle) {
         self.calls.push(Call::Tick { now: now.raw() });
+        if let Some(p) = self.period {
+            if self.ticks_matter && now.raw().is_multiple_of(p) {
+                self.phase = self.phase.rotate_left(7) ^ now.raw();
+            }
+        }
     }
 
     fn sample(&mut self, now: Cycle, committed: u64) {
         self.calls.push(Call::Sample { now: now.raw(), committed });
+    }
+
+    fn next_event(&self, now: Cycle) -> Cycle {
+        match self.period {
+            None => now + 1,
+            Some(p) => Cycle::new((now.raw() / p + 1).saturating_mul(p)),
+        }
     }
 }
 
@@ -136,6 +203,64 @@ fn random_trace(rng: &mut SplitMix64, len: u64) -> Vec<DynInst> {
     out
 }
 
+/// A trace dense in loads that sit behind unresolved older stores to the
+/// same bytes: store data and addresses come from divides and loads, so
+/// stores stay unissued or executing while younger loads to the same few
+/// words, most with no register inputs, are already operand-ready.
+/// Some stores also write a register that later instructions read.
+fn store_heavy_trace(rng: &mut SplitMix64, len: u64) -> Vec<DynInst> {
+    let slow = |rng: &mut SplitMix64| Reg::new(rng.below(3) as u8);
+    let mem_addr = |rng: &mut SplitMix64| Addr::new(0x8000 + 4 * rng.below(8));
+    let mem_size = |rng: &mut SplitMix64| if rng.below(2) == 0 { 4 } else { 8 };
+    let mut pc = Addr::new(0x1_0000);
+    let mut out = Vec::with_capacity(len as usize);
+    for _ in 0..len {
+        let inst = match rng.below(12) {
+            0 => {
+                let op = *rng.choose(&[Op::IntDiv, Op::FpDiv, Op::IntMult]);
+                let src = Some(slow(rng));
+                DynInst {
+                    pc,
+                    op,
+                    dst: Some(slow(rng)),
+                    src1: src,
+                    src2: None,
+                    mem_addr: None,
+                    mem_size: 0,
+                    branch: None,
+                }
+            }
+            1 => DynInst::load(pc, slow(rng), None, mem_addr(rng), mem_size(rng)),
+            2..=4 => {
+                let base = (rng.below(2) == 0).then(|| slow(rng));
+                let mut store =
+                    DynInst::store(pc, Some(slow(rng)), base, mem_addr(rng), mem_size(rng));
+                // Serialized traces may give a store a destination; its
+                // consumers must wait for completion, not for issue.
+                if rng.below(4) == 0 {
+                    store.dst = Some(Reg::new(3 + rng.below(4) as u8));
+                }
+                store
+            }
+            5..=9 => {
+                let base = (rng.below(4) == 0).then(|| Reg::new(3 + rng.below(4) as u8));
+                let dst = Reg::new(3 + rng.below(4) as u8);
+                DynInst::load(pc, dst, base, mem_addr(rng), mem_size(rng))
+            }
+            10 => DynInst::alu(pc, Reg::new(3 + rng.below(4) as u8), Some(slow(rng)), None),
+            _ => {
+                let taken = rng.below(2) == 0;
+                let target = Addr::new(0x1_0000 + 4 * rng.below(256));
+                let info = BranchInfo { kind: BranchKind::Conditional, taken, target };
+                DynInst::branch(pc, None, info)
+            }
+        };
+        pc = inst.next_pc();
+        out.push(inst);
+    }
+    out
+}
+
 /// A small core that hits every width, queue, ROB and LSQ limit.
 fn narrow(disambiguation: Disambiguation) -> CpuConfig {
     CpuConfig {
@@ -151,9 +276,11 @@ fn narrow(disambiguation: Disambiguation) -> CpuConfig {
     }
 }
 
-fn check(case: u64, config: CpuConfig, trace: &[DynInst], max_commits: u64) -> CpuStats {
+/// Runs both pipelines and checks them equal; returns the statistics and
+/// how often the reference's load gate answered "wait".
+fn check(case: u64, config: CpuConfig, trace: &[DynInst], max_commits: u64) -> (CpuStats, u64) {
     let mut want_mem = LoggingMemory::new(case);
-    let want =
+    let (want, waits) =
         reference::Pipeline::new(config).run(trace.iter().copied(), &mut want_mem, max_commits);
     let mut got_mem = LoggingMemory::new(case);
     let got = Pipeline::new(config).run(trace.iter().copied(), &mut got_mem, max_commits);
@@ -170,21 +297,56 @@ fn check(case: u64, config: CpuConfig, trace: &[DynInst], max_commits: u64) -> C
     assert_eq!(want, got, "case {case}: statistics differ");
 
     // The reference ticks and samples every cycle; so, therefore, does
-    // the event-driven pipeline.
-    let hooks: Vec<&Call> = got_mem
-        .calls
-        .iter()
-        .filter(|c| matches!(c, Call::Tick { .. } | Call::Sample { .. }))
-        .collect();
-    assert_eq!(hooks.len() as u64, 2 * got.cycles, "case {case}");
-    for (cycle, pair) in hooks.chunks(2).enumerate() {
-        let now = cycle as u64;
-        assert!(
-            matches!(pair, [Call::Tick { now: t }, Call::Sample { now: s, .. }] if *t == now && *s == now),
-            "case {case}: cycle {now} hooks {pair:?}"
-        );
-    }
-    got
+    // the event-driven pipeline while every cycle is due.
+    let hooks = got_mem.hook_cycles();
+    assert!(hooks.iter().copied().eq(0..got.cycles), "case {case}: a cycle was not hooked");
+    (got, waits)
+}
+
+/// Checks the `next_event` contract on one trace: the hooks arrive at
+/// exactly the due cycles plus the stepped cycles, due ticks that change
+/// later answers are honoured, and forcing the steps changes nothing.
+/// Returns the statistics and the number of cycles the pipeline skipped.
+fn check_sparse(case: u64, period: u64, config: CpuConfig, trace: &[DynInst]) -> (CpuStats, u64) {
+    let run = |mem: &mut LoggingMemory, forced: bool| {
+        Pipeline::new(config).with_forced_steps(forced).run(trace.iter().copied(), mem, u64::MAX)
+    };
+
+    // Due ticks perturb later answers; the reference ticks every cycle.
+    let mut want_mem = LoggingMemory::sparse(case, period, true);
+    let (want, _) =
+        reference::Pipeline::new(config).run(trace.iter().copied(), &mut want_mem, u64::MAX);
+    let mut got_mem = LoggingMemory::sparse(case, period, true);
+    let got = run(&mut got_mem, false);
+    assert_eq!(want_mem.accesses(), got_mem.accesses(), "case {case}: accesses differ");
+    assert_eq!(want, got, "case {case}: statistics differ");
+
+    // With effect-free ticks, the hooks of a never-due memory are exactly
+    // the stepped cycles; a memory due every `period` cycles adds those.
+    let mut never_mem = LoggingMemory::sparse(case, u64::MAX, false);
+    let stepped_stats = run(&mut never_mem, false);
+    let stepped = never_mem.hook_cycles();
+    let mut due_mem = LoggingMemory::sparse(case, period, false);
+    let due_stats = run(&mut due_mem, false);
+    let mut expected: Vec<u64> = (0..due_stats.cycles).step_by(period as usize).collect();
+    expected.extend(&stepped);
+    expected.sort_unstable();
+    expected.dedup();
+    assert_eq!(
+        due_mem.hook_cycles(),
+        expected,
+        "case {case}: hooks off the due and stepped cycles"
+    );
+    assert_eq!(stepped_stats, due_stats, "case {case}");
+    assert_eq!(never_mem.accesses(), due_mem.accesses(), "case {case}");
+
+    // Forced stepping hooks every cycle and changes nothing else.
+    let mut forced_mem = LoggingMemory::sparse(case, u64::MAX, false);
+    let forced = run(&mut forced_mem, true);
+    assert!(forced_mem.hook_cycles().into_iter().eq(0..forced.cycles), "case {case}: forced");
+    assert_eq!(forced, stepped_stats, "case {case}: forcing changed the statistics");
+    assert_eq!(forced_mem.accesses(), never_mem.accesses(), "case {case}");
+    (got, stepped_stats.cycles - stepped.len() as u64)
 }
 
 #[test]
@@ -198,7 +360,7 @@ fn event_driven_pipeline_matches_the_scan_reference() {
             for config in
                 [CpuConfig::baseline().with_disambiguation(disambiguation), narrow(disambiguation)]
             {
-                let stats = check(case, config, &trace, u64::MAX);
+                let (stats, _) = check(case, config, &trace, u64::MAX);
                 assert_eq!(stats.committed, trace.len() as u64, "case {case}");
                 idle_heavy += u64::from(stats.cycles > 4 * stats.committed);
                 forwarded += stats.forwarded_loads;
@@ -218,9 +380,58 @@ fn commit_limit_stops_both_at_the_same_cycle() {
     for case in 0..12 {
         let trace = random_trace(&mut meta, 400);
         let limit = 1 + meta.below(399);
-        let stats = check(case, CpuConfig::baseline(), &trace, limit);
+        let (stats, _) = check(case, CpuConfig::baseline(), &trace, limit);
         assert!(stats.committed >= limit, "case {case}");
     }
+}
+
+#[test]
+fn loads_behind_unresolved_stores_match_the_scan_reference() {
+    let mut meta = SplitMix64::new(0x5709E);
+    for disambiguation in [Disambiguation::Perfect, Disambiguation::WaitForStores] {
+        let (mut waits, mut forwarded) = (0, 0);
+        for case in 0..24 {
+            let len = 200 + meta.below(400);
+            let trace = store_heavy_trace(&mut meta, len);
+            for config in
+                [CpuConfig::baseline().with_disambiguation(disambiguation), narrow(disambiguation)]
+            {
+                let (stats, w) = check(case, config, &trace, u64::MAX);
+                assert_eq!(stats.committed, trace.len() as u64, "case {case}");
+                waits += w;
+                forwarded += stats.forwarded_loads;
+            }
+        }
+        // Loads are held back by stores often, so parking and both
+        // wakeups run many times.
+        assert!(waits > 20_000, "{disambiguation:?}: too few held-back loads: {waits}");
+        assert!(forwarded > 2000, "{disambiguation:?}: too few forwarded loads: {forwarded}");
+    }
+}
+
+#[test]
+fn sparse_next_event_hooks_exactly_the_due_and_stepped_cycles() {
+    let mut meta = SplitMix64::new(0x5CA7);
+    let mut skipped = 0;
+    for case in 0..16 {
+        let period = 3 + meta.below(90);
+        let len = 100 + meta.below(500);
+        let trace = if case % 2 == 0 {
+            random_trace(&mut meta, len)
+        } else {
+            store_heavy_trace(&mut meta, len)
+        };
+        for disambiguation in [Disambiguation::Perfect, Disambiguation::WaitForStores] {
+            for config in
+                [CpuConfig::baseline().with_disambiguation(disambiguation), narrow(disambiguation)]
+            {
+                let (stats, idle) = check_sparse(case, period, config, &trace);
+                assert_eq!(stats.committed, trace.len() as u64, "case {case}");
+                skipped += idle;
+            }
+        }
+    }
+    assert!(skipped > 50_000, "too few skipped cycles: {skipped}");
 }
 
 /// The pipeline as it was before dependency wakeup and skip-ahead: every
@@ -274,6 +485,7 @@ mod reference {
         trace_done: bool,
         now: Cycle,
         stats: CpuStats,
+        waits: u64,
     }
 
     impl Pipeline {
@@ -296,10 +508,13 @@ mod reference {
                 trace_done: false,
                 now: Cycle::ZERO,
                 stats: CpuStats::default(),
+                waits: 0,
             }
         }
 
-        pub fn run<I, M>(mut self, trace: I, mem: &mut M, max_commits: u64) -> CpuStats
+        /// Returns the statistics and how often the load gate answered
+        /// "wait".
+        pub fn run<I, M>(mut self, trace: I, mem: &mut M, max_commits: u64) -> (CpuStats, u64)
         where
             I: IntoIterator<Item = DynInst>,
             M: MemSystem,
@@ -327,7 +542,7 @@ mod reference {
             }
             self.stats.cycles = self.now.raw() + 1;
             self.stats.bpred = self.bpred.stats();
-            self.stats
+            (self.stats, self.waits)
         }
 
         fn entry(&self, seq: u64) -> Option<&RobEntry> {
@@ -454,7 +669,10 @@ mod reference {
                 let inst = self.rob[idx].inst;
                 let finish = match inst.op {
                     Op::Load => match self.load_gate(idx) {
-                        LoadGate::Wait => None,
+                        LoadGate::Wait => {
+                            self.waits += 1;
+                            None
+                        }
                         LoadGate::Forward => self.fu.try_issue(Op::Load, self.now).map(|_| {
                             self.rob[idx].forwarded = true;
                             self.now + self.config.store_forward_latency

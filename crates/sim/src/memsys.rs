@@ -9,6 +9,9 @@ use psb_mem::{L1Access, L1Cache, LowerMemory, Tlb, VictimCache};
 use psb_obs::{IntervalSample, LifeStage, Obs};
 use std::rc::Rc;
 
+/// A cycle later than any event.
+const NEVER: Cycle = Cycle::new(u64::MAX);
+
 /// Bridges the observability hub onto the core engines' [`StreamObs`]
 /// sink trait. Core crates no longer depend on `psb-obs` (layering:
 /// hardware model below observability); this newtype is where the
@@ -130,28 +133,29 @@ pub struct SimMemory {
     next_sample: u64,
     /// Epoch width in cycles (zero when interval sampling is off).
     sample_every: u64,
-    /// Cached [`Prefetcher::quiescent`] verdict from the last real tick.
-    /// While true, [`MemSystem::tick`] skips the engine's virtual
-    /// dispatch entirely: the engine has promised its tick is a no-op
-    /// until the next lookup / allocation / fetch observation, and every
-    /// path that could change that (all inside [`SimMemory::miss`] and
-    /// [`MemSystem::fetched_load`]) clears the flag. Most pipeline
-    /// cycles perform no memory access, so whole quiescent epochs step
-    /// through a single predicted branch.
-    pf_idle: bool,
-    /// When set, [`Prefetcher::quiescent`] verdicts are ignored and the
-    /// engine is ticked every cycle. The skip-ahead is an optimization
-    /// with an exactness claim; forcing every tick is how the
-    /// differential suites and the mutation-testing kill suite pin that
-    /// claim down. Enabled by [`SimMemory::set_force_tick`] or the
-    /// `PSB_FORCE_TICK` environment switch (any value but `0`), read
+    /// First cycle at which [`MemSystem::tick`] must run the engine:
+    /// [`Cycle::ZERO`] (every cycle) while it has work, never once the
+    /// last real tick found it [`Prefetcher::quiescent`]. A quiescent
+    /// engine has promised its tick is a no-op until the next lookup /
+    /// allocation / fetch observation, and every path that could change
+    /// that (all inside [`SimMemory::miss`] and
+    /// [`MemSystem::fetched_load`]) makes it due again. Together with
+    /// `next_sample` this answers [`MemSystem::next_event`], so an idle
+    /// pipeline skips whole quiescent stretches without calling in.
+    engine_due: Cycle,
+    /// When set, [`Prefetcher::quiescent`] verdicts are ignored: the
+    /// engine is ticked every cycle and every cycle is due. The skips
+    /// are optimizations with an exactness claim; forcing every tick is
+    /// how the differential suites and the mutation-testing kill suite
+    /// pin that claim down. Enabled by [`SimMemory::set_force_tick`] or
+    /// the `PSB_FORCE_TICK` environment switch (any value but `0`), read
     /// once at construction so the hot path never touches the
     /// environment.
     force_tick: bool,
 }
 
 /// Reads the `PSB_FORCE_TICK` environment switch: set and not `"0"`
-/// means every cycle performs a real prefetcher tick.
+/// means every cycle is due and performs a real prefetcher tick.
 fn force_tick_env() -> bool {
     std::env::var_os("PSB_FORCE_TICK").is_some_and(|v| !v.is_empty() && v != "0")
 }
@@ -188,7 +192,7 @@ impl SimMemory {
             obs: None,
             next_sample: u64::MAX,
             sample_every: 0,
-            pf_idle: false,
+            engine_due: Cycle::ZERO,
             force_tick: force_tick_env(),
         }
     }
@@ -200,7 +204,14 @@ impl SimMemory {
     /// suites assert exactly that.
     pub fn set_force_tick(&mut self, on: bool) {
         self.force_tick = on;
-        self.pf_idle = false;
+        self.engine_due = Cycle::ZERO;
+    }
+
+    /// Whether every cycle is forced to be due (see
+    /// [`SimMemory::set_force_tick`]); [`crate::Simulation`] forwards
+    /// this to the pipeline so the whole machine steps every cycle.
+    pub fn force_tick(&self) -> bool {
+        self.force_tick
     }
 
     /// Attaches a shared event log; demand accesses, prefetches and
@@ -210,7 +221,7 @@ impl SimMemory {
         log.borrow_mut().set_check_skew(self.inner.dtlb.miss_latency());
         self.inner.log = Some(log.clone());
         self.log = Some(log);
-        self.pf_idle = false;
+        self.engine_due = Cycle::ZERO;
         if let Some(obs) = &self.obs {
             // With both a log and an obs hub attached, route the
             // prefetch-lifecycle events into the log too; re-attach the
@@ -238,7 +249,7 @@ impl SimMemory {
             obs.enable_lifecycle_log();
         }
         self.prefetcher.attach_obs(&stream_obs(obs));
-        self.pf_idle = false;
+        self.engine_due = Cycle::ZERO;
         if let Some(every) = obs.interval_every() {
             self.sample_every = every;
             self.next_sample = every;
@@ -315,8 +326,8 @@ impl SimMemory {
     /// data-ready cycle. `is_load` gates predictor training/allocation.
     fn miss(&mut self, now: Cycle, pc: Addr, addr: Addr, is_load: bool) -> Cycle {
         // Any miss may wake the prefetcher (a lookup hit frees an entry;
-        // an allocation opens a stream): drop the idle-tick shortcut.
-        self.pf_idle = false;
+        // an allocation opens a stream): make its tick due again.
+        self.engine_due = Cycle::ZERO;
         if is_load {
             // Write-back-stage predictor update: primary load misses only.
             self.prefetcher.train(now, pc, addr);
@@ -425,9 +436,11 @@ impl MemSystem for SimMemory {
     }
 
     fn tick(&mut self, now: Cycle) {
-        if !self.pf_idle {
+        if now >= self.engine_due {
             self.prefetcher.tick(now, &mut self.inner);
-            self.pf_idle = !self.force_tick && self.prefetcher.quiescent();
+            if !self.force_tick && self.prefetcher.quiescent() {
+                self.engine_due = NEVER;
+            }
         }
         // Route staged prefetch-lifecycle events (filled / evicted-unused
         // / late) into the memory event log. The obs hub only stages them
@@ -471,8 +484,17 @@ impl MemSystem for SimMemory {
     }
 
     fn fetched_load(&mut self, now: Cycle, pc: Addr) {
-        self.pf_idle = false;
+        self.engine_due = Cycle::ZERO;
         self.prefetcher.observe_fetch(now, pc);
+    }
+
+    fn next_event(&self, now: Cycle) -> Cycle {
+        if self.obs.is_some() && self.log.is_some() {
+            // Every tick drains the hub's staged lifecycle events into
+            // the log, in order with the demand events recorded there.
+            return now + 1;
+        }
+        self.engine_due.min(Cycle::new(self.next_sample)).max(now + 1)
     }
 }
 
@@ -565,6 +587,69 @@ mod tests {
         let r2 = m.ifetch(r, Addr::new(0x40_0000));
         assert_eq!(r2, r, "warm I-fetch is free");
         assert!(m.lower().l1_l2_bus().transactions() >= 1);
+    }
+
+    #[test]
+    fn next_event_is_the_next_cycle_while_the_engine_is_due_or_forced() {
+        let now = Cycle::new(100);
+        let mut m = memsys(PrefetcherKind::None);
+        // Not yet ticked: the engine's verdict is unknown, so it is due.
+        assert_eq!(m.next_event(now), now + 1);
+        // `none` is always quiescent, and nothing samples: never due.
+        m.tick(now);
+        assert_eq!(m.next_event(now), NEVER);
+        // A miss makes the engine due again until its next tick.
+        m.load(now, Addr::new(0x400), Addr::new(0x1000_0000));
+        assert_eq!(m.next_event(now), now + 1);
+        m.tick(now);
+        assert_eq!(m.next_event(now + 7), NEVER);
+        // Forced, every cycle stays due although the engine is idle.
+        m.set_force_tick(true);
+        assert!(m.force_tick());
+        m.tick(now);
+        assert_eq!(m.next_event(now), now + 1);
+    }
+
+    #[test]
+    fn next_event_follows_the_engine_through_a_prefetch_burst() {
+        let mut m = memsys(PrefetcherKind::PcStride);
+        let pc = Addr::new(0x400);
+        let (mut busy, mut idle) = (0, 0);
+        let mut now = Cycle::ZERO;
+        for i in 0..32u64 {
+            let done = m.load(now, pc, Addr::new(0x1000_0000 + 64 * i));
+            for c in 0..400 {
+                let t = done + c;
+                m.tick(t);
+                if m.prefetcher().quiescent() {
+                    idle += 1;
+                    assert_eq!(m.next_event(t), NEVER, "idle engine due at {t:?}");
+                } else {
+                    busy += 1;
+                    assert_eq!(m.next_event(t), t + 1, "busy engine not due at {t:?}");
+                }
+            }
+            now = done + 400;
+        }
+        // Under the `check` feature the stream engines never report
+        // quiescence, so every tick is due.
+        assert!(busy > 5 && (idle > 100 || cfg!(feature = "check")), "busy {busy}, idle {idle}");
+    }
+
+    #[test]
+    fn next_event_names_the_interval_sampler() {
+        let mut m = memsys(PrefetcherKind::None);
+        let obs = Obs::new();
+        obs.enable_interval(1000);
+        m.attach_obs(&obs);
+        m.tick(Cycle::new(5));
+        assert_eq!(m.next_event(Cycle::new(5)), Cycle::new(1000));
+        m.sample(Cycle::new(1000), 10);
+        assert_eq!(m.next_event(Cycle::new(1000)), Cycle::new(2000));
+        // With an event log as well, every tick drains lifecycle events.
+        m.attach_log(crate::MemLog::shared(16));
+        m.tick(Cycle::new(1001));
+        assert_eq!(m.next_event(Cycle::new(1001)), Cycle::new(1002));
     }
 
     #[test]

@@ -56,13 +56,14 @@ impl Simulation {
         }
     }
 
-    /// Defeats the quiescence skip-ahead: the prefetcher is ticked every
-    /// single cycle (see [`SimMemory::set_force_tick`]). The skip is an
-    /// exactness-preserving optimization, so forcing ticks must never
-    /// change a report — the differential suites and the mutation kill
-    /// suite run under this switch (or the equivalent `PSB_FORCE_TICK`
-    /// environment variable) so quiescence bugs cannot hide behind
-    /// skipped cycles.
+    /// Steps the whole machine every cycle: the pipeline runs every
+    /// stage (see [`Pipeline::with_forced_steps`]) and the memory system
+    /// ticks the prefetcher every cycle (see
+    /// [`SimMemory::set_force_tick`]). The skips are exactness-preserving
+    /// optimizations, so forcing the steps must never change a report —
+    /// the differential suites and the mutation kill suite run under
+    /// this switch (or the equivalent `PSB_FORCE_TICK` environment
+    /// variable) so skip bugs cannot hide behind skipped cycles.
     pub fn with_forced_ticks(mut self) -> Self {
         self.force_tick = true;
         self
@@ -123,7 +124,7 @@ impl Simulation {
         }
         // `DynInst` is `Copy`, so feeding the pipeline from the shared
         // trace costs the same element-wise moves a `Vec` drain would.
-        let cpu = Pipeline::new(self.config.cpu).run(
+        let cpu = Pipeline::new(self.config.cpu).with_forced_steps(mem.force_tick()).run(
             self.trace.iter().copied(),
             &mut mem,
             self.max_commits,
