@@ -23,7 +23,8 @@ pub struct BenchResult {
     /// Mean wall-clock nanoseconds per iteration of the final batch.
     pub ns_per_iter: f64,
     /// Iterations in the final (timed) batch — an exact count, taken
-    /// straight from the loop bound.
+    /// straight from the loop bound. For a whole-run row, the number of
+    /// runs the median was taken over.
     pub iters: u64,
 }
 
@@ -109,18 +110,28 @@ pub fn bench(name: &str, mut f: impl FnMut()) -> BenchResult {
     }
 }
 
-/// Times one whole-system run per call of `f` — no doubling-batch
-/// search, a single timed invocation — and records it in the `runs`
-/// section of the artifact. Use for ~100 ms-scale end-to-end rows that
-/// would otherwise pollute the micro `results` a regression gate
-/// applies a per-cent tolerance to.
+/// Whole-run rows time this many runs and record the median: a single
+/// run of a ~20 ms simulation varies by tens of per cent between calls.
+const RUN_REPS: u64 = 3;
+
+/// Times three whole-system runs, one call of `f` each — no
+/// doubling-batch search — and records their median in the `runs`
+/// section of the artifact, with `iters` = 3. Use for ~100 ms-scale
+/// end-to-end rows that would otherwise pollute the micro `results` a
+/// regression gate applies a per-cent tolerance to.
 pub fn bench_run(name: &str, mut f: impl FnMut()) -> BenchResult {
-    let start = Instant::now();
-    f();
-    let ns = start.elapsed().as_nanos() as f64;
+    let mut times: Vec<f64> = (0..RUN_REPS)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    let ns = times[times.len() / 2];
     // psb-lint: allow(println): bench harness console output.
-    println!("{name:<32} {ns:>12.1} ns/run");
-    let result = BenchResult { name: name.to_owned(), ns_per_iter: ns, iters: 1 };
+    println!("{name:<32} {ns:>12.1} ns/run  (median of {RUN_REPS})");
+    let result = BenchResult { name: name.to_owned(), ns_per_iter: ns, iters: RUN_REPS };
     upsert(&RUNS, result.clone());
     result
 }
@@ -250,6 +261,24 @@ mod tests {
         assert!(r.iters >= 1);
         assert!(r.ns_per_iter >= 0.0);
         assert!(results().iter().any(|b| b.name == "micro_test_counter"));
+    }
+
+    #[test]
+    fn bench_run_records_the_median_of_its_runs() {
+        let mut call = 0u64;
+        let r = bench_run("micro_test_run_median", || {
+            call += 1;
+            // The middle call is the slow one, so a median can only
+            // come from a real sort, not from the first or last run.
+            if call == 2 {
+                std::thread::sleep(Duration::from_millis(30));
+            }
+        });
+        assert_eq!(call, RUN_REPS);
+        assert_eq!(r.iters, RUN_REPS);
+        assert!(r.ns_per_iter < 30.0e6, "median {} ns took the slow run", r.ns_per_iter);
+        assert!(run_results().iter().any(|b| b == &r));
+        RUNS.lock().unwrap_or_else(|e| e.into_inner()).retain(|b| b.name != r.name);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! assert_eq!(back.get("name").and_then(Json::as_str), Some("health"));
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 ///
@@ -100,7 +100,7 @@ impl Json {
         match *self {
             Json::U64(v) => Some(v),
             Json::I64(v) => u64::try_from(v).ok(),
-            Json::F64(v) if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 => Some(v as u64),
+            Json::F64(v) if v >= 0.0 && v.fract() == 0.0 && v < u64::MAX as f64 => Some(v as u64),
             _ => None,
         }
     }
@@ -132,61 +132,118 @@ impl Json {
     }
 }
 
-/// Writes `s` as a JSON string literal with full escaping.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{8}' => f.write_str("\\b")?,
-            '\u{c}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Bytes [`Writer`] gathers before handing them to the formatter.
+const CHUNK: usize = 8192;
+
+/// The serializer behind `Display for Json`. Tokens go into a local
+/// buffer with inlined `push_str`s, and the formatter's dynamically
+/// dispatched `write_str` runs once per chunk of about [`CHUNK`] bytes
+/// instead of once per token.
+struct Writer<'a, 'f> {
+    f: &'a mut fmt::Formatter<'f>,
+    buf: String,
+}
+
+impl Writer<'_, '_> {
+    fn value(&mut self, v: &Json) -> fmt::Result {
+        match v {
+            Json::Null => self.buf.push_str("null"),
+            Json::Bool(b) => self.buf.push_str(if *b { "true" } else { "false" }),
+            Json::U64(v) => self.u64(*v)?,
+            Json::I64(v) => write!(self.buf, "{v}")?,
+            Json::F64(v) if !v.is_finite() => self.buf.push_str("null"),
+            // Integral floats print a trailing ".0" so they stay floats
+            // on re-parse; everything else uses shortest-round-trip.
+            Json::F64(v) if v.fract() == 0.0 && v.abs() < 1e15 => write!(self.buf, "{v:.1}")?,
+            Json::F64(v) => write!(self.buf, "{v}")?,
+            Json::Str(s) => self.escaped(s)?,
+            Json::Arr(items) => {
+                self.buf.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        self.buf.push(',');
+                    }
+                    self.value(item)?;
+                }
+                self.buf.push(']');
+            }
+            Json::Obj(pairs) => {
+                self.buf.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        self.buf.push(',');
+                    }
+                    self.escaped(k)?;
+                    self.buf.push(':');
+                    self.value(v)?;
+                }
+                self.buf.push('}');
+            }
         }
+        if self.buf.len() >= CHUNK {
+            self.flush()?;
+        }
+        Ok(())
     }
-    f.write_str("\"")
+
+    fn flush(&mut self) -> fmt::Result {
+        self.f.write_str(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Writes `s` as a JSON string literal with full escaping. Each run
+    /// of characters that needs no escape is copied whole; only `"`, `\`
+    /// and control characters (all ASCII, so every cut falls on a
+    /// character boundary) are written one by one.
+    fn escaped(&mut self, s: &str) -> fmt::Result {
+        self.buf.push('"');
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b != b'"' && b != b'\\' && b >= 0x20 {
+                continue;
+            }
+            self.buf.push_str(&s[run..i]);
+            match b {
+                b'"' => self.buf.push_str("\\\""),
+                b'\\' => self.buf.push_str("\\\\"),
+                b'\n' => self.buf.push_str("\\n"),
+                b'\r' => self.buf.push_str("\\r"),
+                b'\t' => self.buf.push_str("\\t"),
+                0x08 => self.buf.push_str("\\b"),
+                0x0c => self.buf.push_str("\\f"),
+                _ => write!(self.buf, "\\u{b:04x}")?,
+            }
+            run = i + 1;
+        }
+        self.buf.push_str(&s[run..]);
+        self.buf.push('"');
+        Ok(())
+    }
+
+    /// Writes `v` in decimal without going through `fmt::Arguments`.
+    fn u64(&mut self, mut v: u64) -> fmt::Result {
+        // u64::MAX has 20 digits.
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.buf.push_str(std::str::from_utf8(&digits[start..]).map_err(|_| fmt::Error)?);
+        Ok(())
+    }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::U64(v) => write!(f, "{v}"),
-            Json::I64(v) => write!(f, "{v}"),
-            Json::F64(v) if !v.is_finite() => f.write_str("null"),
-            // Integral floats print a trailing ".0" so they stay floats
-            // on re-parse; everything else uses shortest-round-trip.
-            Json::F64(v) if v.fract() == 0.0 && v.abs() < 1e15 => write!(f, "{v:.1}"),
-            Json::F64(v) => write!(f, "{v}"),
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut w = Writer { f, buf: String::with_capacity(CHUNK) };
+        w.value(self)?;
+        w.flush()
     }
 }
 
@@ -451,6 +508,136 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psb_common::SplitMix64;
+
+    /// The reference writer: the original char-by-char escaper and
+    /// `write!`-formatted numbers, kept as the model the fast writer
+    /// must match byte for byte.
+    fn reference(j: &Json, out: &mut String) {
+        fn escaped(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    '\u{8}' => out.push_str("\\b"),
+                    '\u{c}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                    c => write!(out, "{c}").unwrap(),
+                }
+            }
+            out.push('"');
+        }
+        match j {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => write!(out, "{b}").unwrap(),
+            Json::U64(v) => write!(out, "{v}").unwrap(),
+            Json::I64(v) => write!(out, "{v}").unwrap(),
+            Json::F64(v) if !v.is_finite() => out.push_str("null"),
+            Json::F64(v) if v.fract() == 0.0 && v.abs() < 1e15 => write!(out, "{v:.1}").unwrap(),
+            Json::F64(v) => write!(out, "{v}").unwrap(),
+            Json::Str(s) => escaped(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    reference(item, out);
+                }
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    escaped(out, k);
+                    out.push(':');
+                    reference(v, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// A random string over the characters the escaper treats apart:
+    /// quote, backslash, every control byte, DEL, plain ASCII and one-
+    /// to four-byte UTF-8, in runs of random length.
+    fn random_string(rng: &mut SplitMix64) -> String {
+        const SPECIAL: [char; 8] = ['"', '\\', '\u{7f}', 'é', '€', '\u{1F600}', '\u{ffff}', ' '];
+        let len = rng.below(24);
+        (0..len)
+            .map(|_| match rng.below(4) {
+                0 => char::from(rng.below(0x20) as u8),
+                1 => SPECIAL[rng.below(SPECIAL.len() as u64) as usize],
+                2 => char::from_u32(rng.range(0x80, 0x11_0000) as u32).unwrap_or('?'),
+                _ => char::from(rng.range(0x20, 0x7f) as u8),
+            })
+            .collect()
+    }
+
+    /// A `u64` that is an edge case half of the time.
+    fn random_u64(rng: &mut SplitMix64) -> u64 {
+        const EDGES: [u64; 8] = [0, 1, 9, 10, 99, 100, u64::MAX - 1, u64::MAX];
+        match rng.below(3) {
+            0 => EDGES[rng.below(EDGES.len() as u64) as usize],
+            1 => 10u64.pow(rng.below(20) as u32) - rng.below(2),
+            _ => rng.next_u64() >> rng.below(64),
+        }
+    }
+
+    fn random_json(rng: &mut SplitMix64, depth: u32) -> Json {
+        let leaf = depth == 0 || rng.below(3) == 0;
+        match rng.below(if leaf { 6 } else { 8 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 1),
+            2 => Json::I64(rng.next_u64() as i64 >> rng.below(64)),
+            3 => Json::F64(f64::from_bits(rng.next_u64())),
+            4 => Json::Str(random_string(rng)),
+            5 => Json::U64(random_u64(rng)),
+            6 => Json::Arr((0..rng.below(5)).map(|_| random_json(rng, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..rng.below(5))
+                    .map(|_| (random_string(rng), random_json(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn fast_writer_matches_the_reference_on_random_documents() {
+        let mut rng = SplitMix64::new(0x5eed_1e55);
+        for case in 0..4_000 {
+            let doc = random_json(&mut rng, 4);
+            let mut want = String::new();
+            reference(&doc, &mut want);
+            assert_eq!(doc.to_string(), want, "case {case}: {doc:?}");
+        }
+    }
+
+    #[test]
+    fn fast_writer_matches_the_reference_on_edges() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let mut docs = vec![
+            Json::str(""),
+            Json::str(controls),
+            Json::str("\"\\\"\\"),
+            Json::str("plain ascii run"),
+            Json::str("\u{1F600}\"é\\€\u{7f}"),
+            Json::obj([("k\"\n", Json::str("v\u{1}"))]),
+        ];
+        docs.extend([0, 9, 10, 11, 99, 100, u64::MAX / 10, u64::MAX - 1, u64::MAX].map(Json::u64));
+        for doc in docs {
+            let mut want = String::new();
+            reference(&doc, &mut want);
+            assert_eq!(doc.to_string(), want, "{doc:?}");
+        }
+    }
 
     #[test]
     fn escaping_round_trips() {
@@ -536,5 +723,62 @@ mod tests {
         assert_eq!(j.get("missing"), None);
         assert_eq!(j.get("s").and_then(Json::as_u64), None);
         assert_eq!(j.get("f").and_then(Json::as_u64), None, "fractional is not u64");
+    }
+
+    #[test]
+    fn numeric_accessors_convert_across_variants() {
+        assert_eq!(Json::I64(7).as_u64(), Some(7));
+        assert_eq!(Json::I64(-1).as_u64(), None);
+        assert_eq!(Json::F64(0.0).as_u64(), Some(0));
+        assert_eq!(Json::F64(3.0).as_u64(), Some(3));
+        assert_eq!(Json::F64(-1.0).as_u64(), None);
+        // 2^64 is the first integral float past u64::MAX: not a u64.
+        let two_pow_64 = u64::MAX as f64;
+        assert_eq!(Json::F64(two_pow_64).as_u64(), None);
+        assert_eq!(Json::F64(two_pow_64 / 2.0).as_u64(), Some(1 << 63));
+        assert_eq!(Json::U64(5).as_f64(), Some(5.0));
+        assert_eq!(Json::I64(-5).as_f64(), Some(-5.0));
+        assert_eq!(Json::str("5").as_f64(), None);
+        let obj = Json::obj([("a", Json::Null)]);
+        assert_eq!(obj.as_obj().map(<[_]>::len), Some(1));
+        assert_eq!(Json::arr([]).as_obj(), None);
+    }
+
+    #[test]
+    fn empty_containers_and_literals_parse() {
+        assert_eq!(parse("{}"), Ok(Json::Obj(Vec::new())));
+        assert_eq!(parse("[ ]"), Ok(Json::Arr(Vec::new())));
+        assert_eq!(
+            parse("{\"a\":{},\"b\":false}"),
+            Ok(Json::obj([("a", Json::Obj(Vec::new())), ("b", Json::Bool(false)),]))
+        );
+    }
+
+    #[test]
+    fn parser_decodes_every_escape_and_utf8_width() {
+        let v = parse(r#""\/\r\b\f\u00ff é€😀x""#).expect("parses");
+        assert_eq!(v.as_str(), Some("/\r\u{8}\u{c}\u{ff} é€😀x"));
+        assert!(parse(r#""\u00g0""#).is_err(), "g is not a hex digit");
+        assert!(parse(r#""\ud83d\u0041""#).is_err(), "high surrogate without a low one");
+        // A multi-byte character that ends the input leaves the string
+        // unterminated, not truncated.
+        assert_eq!(parse("\"é").map_err(|e| e.msg), Err("unterminated string".to_owned()));
+    }
+
+    #[test]
+    fn parser_reads_exponents() {
+        let v = parse("[1e3, 2.5E-2, 4e+1, -7E12]").expect("parses");
+        let floats: Vec<f64> = v.as_arr().unwrap().iter().filter_map(Json::as_f64).collect();
+        assert_eq!(floats, [1e3, 2.5e-2, 4e1, -7e12]);
+        assert!(parse("1e").is_err());
+    }
+
+    #[test]
+    fn float_formatting_switches_at_1e15() {
+        // Below 1e15 an integral float keeps a ".0"; from 1e15 on it
+        // prints in shortest round-trip form.
+        assert_eq!(Json::f64(999_999_999_999_999.0).to_string(), "999999999999999.0");
+        assert_eq!(Json::f64(1e15).to_string(), "1000000000000000");
+        assert_eq!(Json::f64(-2.0).to_string(), "-2.0");
     }
 }

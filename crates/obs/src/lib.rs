@@ -197,7 +197,7 @@ impl Obs {
                 "stream",
                 buffer as u64,
                 now,
-                &[("pc", pc), ("confidence", confidence), ("displaced", displaced)],
+                [("pc", pc), ("confidence", confidence), ("displaced", displaced)],
             );
         }
     }
@@ -213,7 +213,7 @@ impl Obs {
             stage: LifeStage::EvictedUnused,
         });
         if let Some(t) = core.trace.as_mut() {
-            t.instant("evicted-unused", "prefetch", buffer as u64, now, &[("block", block_base)]);
+            t.instant("evicted-unused", "prefetch", buffer as u64, now, [("block", block_base)]);
         }
     }
 
@@ -222,7 +222,7 @@ impl Obs {
         let mut core = self.inner.borrow_mut();
         core.lifecycle.predicted += 1;
         if let Some(t) = core.trace.as_mut() {
-            t.instant("predicted", "prefetch", buffer as u64, now, &[("block", block_base)]);
+            t.instant("predicted", "prefetch", buffer as u64, now, [("block", block_base)]);
         }
     }
 
@@ -239,7 +239,7 @@ impl Obs {
                 buffer as u64,
                 now,
                 ready.saturating_sub(now),
-                &[("block", block_base)],
+                [("block", block_base)],
             );
         }
     }
@@ -273,7 +273,7 @@ impl Obs {
                 "demand",
                 buffer as u64,
                 now,
-                &[("block", block_base), ("late_by", late_by)],
+                [("block", block_base), ("late_by", late_by)],
             );
         }
     }
@@ -283,7 +283,7 @@ impl Obs {
         let mut core = self.inner.borrow_mut();
         core.lifecycle.demand_raced += 1;
         if let Some(t) = core.trace.as_mut() {
-            t.instant("demand-raced", "demand", buffer as u64, now, &[("block", block_base)]);
+            t.instant("demand-raced", "demand", buffer as u64, now, [("block", block_base)]);
         }
     }
 
@@ -303,7 +303,7 @@ impl Obs {
                 "occupancy",
                 buffer as u64,
                 now,
-                &[("ready", ready), ("in_flight", in_flight), ("priority", priority)],
+                [("ready", ready), ("in_flight", in_flight), ("priority", priority)],
             );
         }
     }

@@ -489,11 +489,10 @@ impl MemSystem for SimMemory {
     }
 
     fn next_event(&self, now: Cycle) -> Cycle {
-        if self.obs.is_some() && self.log.is_some() {
-            // Every tick drains the hub's staged lifecycle events into
-            // the log, in order with the demand events recorded there.
-            return now + 1;
-        }
+        // Lifecycle events are staged only by the engine's tick and by
+        // demand calls, and every cycle that has either also ticks here
+        // and drains them into the log, so an attached log names no
+        // cycle of its own.
         self.engine_due.min(Cycle::new(self.next_sample)).max(now + 1)
     }
 }
@@ -646,10 +645,11 @@ mod tests {
         assert_eq!(m.next_event(Cycle::new(5)), Cycle::new(1000));
         m.sample(Cycle::new(1000), 10);
         assert_eq!(m.next_event(Cycle::new(1000)), Cycle::new(2000));
-        // With an event log as well, every tick drains lifecycle events.
+        // An event log adds no cycle: staged lifecycle events drain in
+        // the tick of the cycle that staged them.
         m.attach_log(crate::MemLog::shared(16));
         m.tick(Cycle::new(1001));
-        assert_eq!(m.next_event(Cycle::new(1001)), Cycle::new(1002));
+        assert_eq!(m.next_event(Cycle::new(1001)), Cycle::new(2000));
     }
 
     #[test]

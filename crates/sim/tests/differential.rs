@@ -13,7 +13,8 @@
 //! `psb-run-v1` reports to be byte-identical.
 
 use psb_cpu::Disambiguation;
-use psb_sim::{json_report, MachineConfig, PrefetcherKind, Simulation};
+use psb_obs::Obs;
+use psb_sim::{json_report, MachineConfig, MemLog, PrefetcherKind, Simulation};
 use psb_workloads::Benchmark;
 use std::sync::Mutex;
 
@@ -58,6 +59,58 @@ fn force_stepping_is_exact_on_every_benchmark_and_engine() {
             let cfg = MachineConfig::baseline().with_prefetcher(kind);
             let (fast, forced) = both_reports(bench, cfg, &trace, window);
             assert_eq!(fast, forced, "{bench:?} x {kind:?}: skipping changed the run report");
+        }
+    }
+}
+
+/// Everything an observed run (psbsim `--json --trace-out --interval
+/// --log-last`) writes: the report, the Chrome trace and the log ring.
+fn observed_artifacts(
+    bench: Benchmark,
+    cfg: MachineConfig,
+    trace: &[psb_cpu::DynInst],
+    window: u64,
+    forced: bool,
+) -> [String; 3] {
+    let obs = Obs::new();
+    obs.enable_trace(1 << 20);
+    obs.enable_interval(1_000);
+    let log = MemLog::shared_ring(1 << 15);
+    let mut sim = Simulation::new(cfg, trace.to_vec(), window)
+        .with_obs(obs.clone())
+        .with_event_log(log.clone());
+    if forced {
+        sim = sim.with_forced_ticks();
+    }
+    let stats = sim.run();
+    let report = json_report(bench.name(), cfg.prefetcher.cli_name(), &stats, Some(&obs));
+    let events: Vec<String> = log.borrow().ordered().iter().map(ToString::to_string).collect();
+    [
+        report.to_string(),
+        obs.trace_json().map(|t| t.to_string()).unwrap_or_default(),
+        events.join("\n"),
+    ]
+}
+
+#[test]
+fn force_stepping_is_exact_with_obs_and_a_log_attached() {
+    // With a hub and a log attached, staged lifecycle events drain into
+    // the log in the tick of the cycle that staged them. The log names
+    // no cycle of its own, so the skipping run ticks only the cycles
+    // the engine and the sampler name. Every artifact must still match
+    // the forced run.
+    let _env = ENV_LOCK.lock().unwrap();
+    let window = 6_000u64;
+    for bench in [Benchmark::DeltaBlue, Benchmark::Sis, Benchmark::Turb3d] {
+        let trace = bench.trace(1);
+        for kind in PrefetcherKind::ALL {
+            let cfg = MachineConfig::baseline().with_prefetcher(kind);
+            let fast = observed_artifacts(bench, cfg, &trace, window, false);
+            let forced = observed_artifacts(bench, cfg, &trace, window, true);
+            for (what, (a, b)) in ["report", "trace", "log"].iter().zip(fast.iter().zip(&forced)) {
+                assert_eq!(a, b, "{bench:?} x {kind:?}: skipping changed the {what}");
+            }
+            assert!(!fast[2].is_empty(), "{bench:?} x {kind:?}: the log recorded nothing");
         }
     }
 }

@@ -97,11 +97,11 @@ const COMMANDS: &[Cmd] = &[
         name: "mutants",
         synopsis: "[--crate NAME] [--filter SUBSTR] [--sample N] [--seed S] [--timeout SECS] [--jobs N] [--list] [--baseline FILE] [--report FILE]",
         help: &[
-            "mutation-test the hot-path files of psb-core/psb-mem:",
+            "mutation-test the hot-path files of psb-core/psb-mem/psb-cpu/psb-obs:",
             "generate mutants, run the kill suite per mutant in a",
             "scratch workspace, and fail on any survivor missing",
             "from the committed MUTANTS.toml baseline",
-            "  --crate NAME      restrict to one crate (psb-core | psb-mem)",
+            "  --crate NAME      restrict to one crate (psb-core | psb-mem | psb-cpu | psb-obs)",
             "  --filter SUBSTR   keep only mutants whose id contains SUBSTR (repeatable)",
             "  --sample N        seeded sample of N mutants (CI smoke mode)",
             "  --seed S          sample seed (default 1)",

@@ -2,8 +2,9 @@
 //!
 //! The bench-gate asks "did the numbers regress?"; this gate asks "do
 //! the tests actually *check* anything?". The engine lexes the hot-path
-//! files of `psb-core`, `psb-mem` and `psb-cpu` (see [`TARGETS`]), generates
-//! deterministic, stably-numbered mutants (see [`ops`]), applies each
+//! files of `psb-core`, `psb-mem`, `psb-cpu` and `psb-obs` (see
+//! [`TARGETS`]), generates deterministic, stably-numbered mutants (see
+//! [`ops`]), applies each
 //! in a scratch copy of the workspace and runs that crate's test suite
 //! per mutant (see [`runner`]). A mutant the suite fails to kill is a
 //! survivor; survivors must appear, with a one-line justification, in
@@ -29,11 +30,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-/// The mutated files: the hot-path arenas, the two modern engines and
-/// the event-driven pipeline, keyed by the package whose suite forms
-/// the kill suite. `psb-core`, `psb-mem` and `psb-cpu` are independent
-/// crates (see the layering table), so a mutant in one never needs
-/// another's tests.
+/// The mutated files: the hot-path arenas, the two modern engines, the
+/// event-driven pipeline and the Chrome trace sink with its JSON
+/// writer, keyed by the package whose suite forms the kill suite.
+/// `psb-core`, `psb-mem`, `psb-cpu` and `psb-obs` sit below the crates
+/// that depend on them (see the layering table), so a mutant in one
+/// never needs another's tests.
 pub const TARGETS: &[(&str, &str)] = &[
     ("psb-core", "crates/core/src/predictor/stride.rs"),
     ("psb-core", "crates/core/src/predictor/markov.rs"),
@@ -42,6 +44,8 @@ pub const TARGETS: &[(&str, &str)] = &[
     ("psb-core", "crates/core/src/stream/buffer.rs"),
     ("psb-mem", "crates/mem/src/cache.rs"),
     ("psb-cpu", "crates/cpu/src/pipeline.rs"),
+    ("psb-obs", "crates/obs/src/json.rs"),
+    ("psb-obs", "crates/obs/src/trace.rs"),
 ];
 
 /// Parsed command line.

@@ -21,7 +21,7 @@
 
 use super::ops::Mutant;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -281,31 +281,56 @@ fn run_suite(cfg: &Config, scratch: &Path, krate: &str, deadline: Instant) -> Op
 }
 
 /// Spawns the command with discarded output and polls it against the
-/// deadline. `Some(success)` on exit, `None` on timeout (the child is
-/// killed).
+/// deadline. `Some(success)` on exit, `None` on timeout (the command and
+/// everything it started are killed).
+///
+/// The command leads a process group of its own, so a timeout reaches
+/// the processes it spawned too: killing only `cargo test` would leave
+/// the mutated test binary (typically stuck in the very loop the
+/// mutation broke) running on, skewing every later measurement. The
+/// group also stops a terminal's Ctrl-C from reaching the suite, which
+/// is left to run to its deadline.
 fn run_to_deadline(mut cmd: Command, deadline: Instant) -> Option<bool> {
     cmd.stdout(Stdio::null()).stderr(Stdio::null()).stdin(Stdio::null());
+    #[cfg(unix)]
+    std::os::unix::process::CommandExt::process_group(&mut cmd, 0);
     let Ok(mut child) = cmd.spawn() else {
         return Some(false);
     };
     loop {
         match child.try_wait() {
             Ok(Some(status)) => return Some(status.success()),
+            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(25)),
             Ok(None) => {
-                if Instant::now() >= deadline {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return None;
-                }
-                std::thread::sleep(Duration::from_millis(25));
+                kill_group(&mut child);
+                return None;
             }
             Err(_) => {
-                let _ = child.kill();
-                let _ = child.wait();
+                kill_group(&mut child);
                 return Some(false);
             }
         }
     }
+}
+
+/// Kills `child`'s process group (see [`run_to_deadline`]) and reaps
+/// the child.
+fn kill_group(child: &mut Child) {
+    #[cfg(unix)]
+    if let Ok(pgid) = i32::try_from(child.id()) {
+        extern "C" {
+            fn kill(pid: i32, sig: i32) -> i32;
+        }
+        const SIGKILL: i32 = 9;
+        // SAFETY: kill(2) takes no pointers; a negative pid names the
+        // process group the child leads, which holds only processes
+        // this runner started.
+        unsafe {
+            kill(-pgid, SIGKILL);
+        }
+    }
+    let _ = child.kill();
+    let _ = child.wait();
 }
 
 #[cfg(test)]
@@ -387,6 +412,40 @@ pub fn saturate(x: u64, max: u64) -> u64 {
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].outcome, Outcome::Timeout);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// True while `pid` runs. A killed process whose parent has not
+    /// reaped it yet is a zombie (`Z`), which no longer runs.
+    #[cfg(target_os = "linux")]
+    fn running(pid: &str) -> bool {
+        std::fs::read_to_string(format!("/proc/{pid}/stat")).is_ok_and(|stat| {
+            let state = stat.rsplit_once(')').map_or("", |(_, rest)| rest.trim_start());
+            !state.starts_with(['Z', 'X'])
+        })
+    }
+
+    /// A timeout must not orphan what the suite started: `cargo test`
+    /// runs the test binary as a child, and a mutant that hangs hangs
+    /// in that grandchild of the runner.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn timeout_kills_the_grandchildren_too() {
+        let dir = fixture_tree("");
+        let pidfile = dir.join("grandchild.pid");
+        let mut cmd = Command::new("sh");
+        cmd.arg("-c").arg(format!("sleep 600 & echo $! > '{}'; wait", pidfile.display()));
+        let deadline = Instant::now() + Duration::from_millis(500);
+        assert_eq!(run_to_deadline(cmd, deadline), None, "the command must time out");
+        let pid = std::fs::read_to_string(&pidfile).unwrap();
+        let pid = pid.trim();
+        assert!(!pid.is_empty());
+        // SIGKILL is delivered asynchronously; give it a moment.
+        let gone = (0..100).any(|_| {
+            std::thread::sleep(Duration::from_millis(20));
+            !running(pid)
+        });
+        assert!(gone, "grandchild {pid} outlived the deadline");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
